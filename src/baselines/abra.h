@@ -2,8 +2,6 @@
 #define SAPHYRA_BASELINES_ABRA_H_
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <vector>
 
 #include "core/saphyra.h"
@@ -35,10 +33,6 @@ struct AbraOptions {
   /// expiry the run returns completed-wave estimates tagged degraded.
   /// Borrowed; must outlive the run.
   const CancelToken* cancel = nullptr;
-  /// Optional delegated wave execution (core/sample_engine.h): ABRA runs a
-  /// single progressive loop, so only ordinal 0 is requested. Empty =
-  /// local drawing.
-  std::function<WaveExecutor*(uint32_t ordinal)> wave_executor;
 };
 
 /// \brief Output of ABRA.
@@ -77,12 +71,6 @@ struct AbraResult {
 /// split evenly across the planned checks, and a Riondato–Kornaropoulos
 /// VC cap bounds the schedule.
 AbraResult RunAbra(const Graph& g, const AbraOptions& options);
-
-/// \brief ABRA's pair-dependency sampling problem as a standalone object,
-/// for shard workers that replay stripe draws bit-for-bit. Identical RNG
-/// consumption per sample to the problem RunAbra builds internally.
-std::unique_ptr<HypothesisRankingProblem> MakeAbraSamplingProblem(
-    const Graph& g);
 
 }  // namespace saphyra
 

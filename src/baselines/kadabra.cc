@@ -89,7 +89,6 @@ KadabraResult RunKadabra(const Graph& g, const KadabraOptions& options) {
       MakeVcCappedSchedule(eps, options.delta, vc, options.vc_constant,
                            options.max_wave, options.num_threads);
   schedule.cancel = options.cancel;
-  if (options.wave_executor) schedule.executor = options.wave_executor(0);
   if (options.cancel != nullptr && options.cancel->CanExpire() &&
       schedule.max_wave == 0) {
     schedule.max_wave = 1024;  // poll often enough for the deadline to bite
@@ -126,15 +125,6 @@ KadabraResult RunKadabra(const Graph& g, const KadabraOptions& options) {
   result.degrade_reason = run.degrade_reason;
   result.seconds = timer.ElapsedSeconds();
   return result;
-}
-
-std::unique_ptr<HypothesisRankingProblem> MakeKadabraSamplingProblem(
-    const Graph& g, SamplingStrategy strategy, TraversalPolicy traversal) {
-  // Shard workers never read VcDimension (the coordinator owns the sample
-  // schedule), so the two-BFS Riondato bound is skipped deliberately —
-  // sampling behavior is independent of it.
-  return std::make_unique<KadabraProblem>(g, strategy, traversal,
-                                          /*vc_bound=*/0.0);
 }
 
 }  // namespace saphyra

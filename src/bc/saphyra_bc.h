@@ -2,8 +2,6 @@
 #define SAPHYRA_BC_SAPHYRA_BC_H_
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <vector>
 
 #include "bc/path_sampler.h"
@@ -49,10 +47,6 @@ struct SaphyraBcOptions {
   /// expiry the run returns completed-wave estimates tagged degraded.
   /// Borrowed; must outlive the run.
   const CancelToken* cancel = nullptr;
-  /// Optional delegated wave execution, forwarded verbatim into the inner
-  /// framework run (see SaphyraOptions::wave_executor): ordinal 0 is the
-  /// pilot, ordinal 1 the main loop. Empty = local drawing.
-  std::function<WaveExecutor*(uint32_t ordinal)> wave_executor;
 };
 
 /// \brief Output of SaPHyRa_bc.
@@ -103,17 +97,6 @@ SaphyraBcResult RunSaphyraBc(const IspIndex& isp,
 /// configuration the paper calls "SaPHyRa_bc-full").
 SaphyraBcResult RunSaphyraBcFull(const IspIndex& isp,
                                  const SaphyraBcOptions& options);
-
-/// \brief The Gen_bc sampling problem of RunSaphyraBc as a standalone
-/// object: same personalized space, same rejection sampling, same RNG
-/// consumption per sample. Shard worker processes use this to replay
-/// stripe draws bit-for-bit without running the exact phase (the returned
-/// problem's ComputeExactRisks/VcDimension are functional but unused
-/// worker-side). Only `strategy`, `traversal` and `use_exact_subspace`
-/// of `options` affect sampling.
-std::unique_ptr<HypothesisRankingProblem> MakeSaphyraBcSamplingProblem(
-    const IspIndex& isp, const std::vector<NodeId>& targets,
-    const SaphyraBcOptions& options);
 
 }  // namespace saphyra
 

@@ -20,9 +20,9 @@
 /// for a fixed (seed, stopping rule, checkpoint geometry), results are
 /// bitwise identical across thread counts, wave sizes, pool schedules and
 /// repeated runs — the engine stripes samples over a fixed number of
-/// logical RNG streams (`stripes`), and all accumulation is integer (hit
-/// counts, and 32.32 fixed point for fractional losses), hence
-/// associative. See DESIGN.md, "Adaptive stopping contract".
+/// logical RNG streams (kDefaultSampleStripes), and all accumulation is
+/// integer (hit counts, and 32.32 fixed point for fractional losses),
+/// hence associative. See DESIGN.md, "Adaptive stopping contract".
 ///
 /// Ownership/threading: a sampler borrows the problem and base RNG (both
 /// must outlive it) and is single-driver — Run() once, from one thread.
@@ -41,9 +41,9 @@
 
 namespace saphyra {
 
-/// Logical RNG stripes of the sampling loop. Fixed by default so that
-/// results do not depend on the thread count; changing it changes the
-/// stream partition and therefore the (equally valid) draw.
+/// Logical RNG stripes of the sampling loop. Fixed so that results do
+/// not depend on the thread count; another value would partition the
+/// streams differently and so draw another (equally valid) sample.
 inline constexpr uint32_t kDefaultSampleStripes = 16;
 
 /// \brief Schedule and execution parameters of the progressive loop.
@@ -61,9 +61,6 @@ struct ProgressiveOptions {
   /// Worker threads (1 = inline on the caller's thread; >1 executes on the
   /// persistent SharedThreadPool). Never affects results.
   uint32_t num_threads = 1;
-  /// Logical RNG stripes (0 = kDefaultSampleStripes). Part of the seed:
-  /// different stripe counts draw different (equally valid) streams.
-  uint32_t stripes = 0;
   /// Optional cooperative cancellation, polled once per wave (null =
   /// never stops early). On expiry the run finalizes from completed waves
   /// only and is tagged degraded; polling happens at deterministic wave
@@ -71,14 +68,6 @@ struct ProgressiveOptions {
   /// (seed, truncation point) — see util/cancel.h. Borrowed; must outlive
   /// the run.
   const CancelToken* cancel = nullptr;
-  /// Optional delegated wave execution (core/sample_engine.h): when set,
-  /// every wave is executed through this hook instead of being drawn
-  /// locally — the sharded serving tier farms stripes out to worker
-  /// processes here. A failing wave degrades the run (the failure's status
-  /// code becomes `degrade_reason`) exactly like a deadline expiry: the
-  /// result finalizes from completed waves only. Borrowed; must outlive
-  /// the run. Never affects result bytes while waves succeed.
-  WaveExecutor* executor = nullptr;
 };
 
 /// \brief Number of stopping-rule checkpoints the schedule will evaluate:
@@ -223,9 +212,7 @@ struct ProgressiveResult {
   /// deterministic for a fixed (seed, samples_used) — see util/cancel.h.
   bool degraded = false;
   /// Why the run degraded: kDeadlineExceeded or kCancelled from the
-  /// token, or the wave executor's failure code (kUnavailable when the
-  /// sharded tier lost its workers past the retry budget). kOk unless
-  /// `degraded`.
+  /// token. kOk unless `degraded`.
   StatusCode degrade_reason = StatusCode::kOk;
 };
 

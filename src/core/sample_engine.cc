@@ -25,12 +25,14 @@ double FromFixedPoint(uint64_t fp) {
   return static_cast<double>(fp) / kFixedPointScale;
 }
 
-}  // namespace
-
+/// #samples with global index in [0, n) assigned to stripe `w` of
+/// `num_stripes` under the engine's `j mod W` striping.
 uint64_t StripeSamplesBelow(uint64_t n, size_t w, size_t num_stripes) {
   if (n <= w) return 0;
   return (n - w - 1) / num_stripes + 1;
 }
+
+}  // namespace
 
 double SampleStats::mean(size_t i) const {
   if (n == 0) return 0.0;
@@ -137,34 +139,6 @@ uint64_t SampleEngine::DrawAccumulate(uint64_t current, uint64_t target) {
       agg_fp_sum_squares_.assign(k, 0);
     }
   }
-  last_wave_status_ = Status::OK();
-  if (executor_ != nullptr && target > current) {
-    // Delegated wave: the executor returns the raw integer delta of
-    // samples [current, target) over this engine's stripes; summing it in
-    // is bitwise-identical to having drawn locally because the integer
-    // accumulators are associative. A failed wave contributes nothing —
-    // the caller sees the unchanged sample count plus last_wave_status().
-    RawSampleDelta delta;
-    last_wave_status_ =
-        executor_->ExecuteWave(current, target, workers_.size(), &delta);
-    if (!last_wave_status_.ok()) return current;
-    if (delta.counts.size() != k ||
-        (weighted_ && (delta.fp_sums.size() != k ||
-                       delta.fp_sum_squares.size() != k))) {
-      last_wave_status_ = Status::Internal(
-          "wave executor returned a malformed delta (hypothesis count "
-          "mismatch)");
-      return current;
-    }
-    for (size_t i = 0; i < k; ++i) agg_counts_[i] += delta.counts[i];
-    if (weighted_) {
-      for (size_t i = 0; i < k; ++i) {
-        agg_fp_sums_[i] += delta.fp_sums[i];
-        agg_fp_sum_squares_[i] += delta.fp_sum_squares[i];
-      }
-    }
-    return target;
-  }
   if (target > current) {
     DrawStriped(current, target);
     for (size_t w = 0; w < workers_.size(); ++w) {
@@ -210,51 +184,6 @@ uint64_t SampleEngine::Draw(uint64_t current, uint64_t target,
   DrawAccumulate(current, target);
   SnapshotStats(target, stats);
   return target;
-}
-
-void SampleEngine::AdvanceStripe(size_t w, uint64_t count) {
-  SAPHYRA_CHECK(w < workers_.size());
-  // Draw-and-discard: RunWorker consumes exactly the same RNG stream as an
-  // accumulated draw (accumulation never touches the RNG), so zeroing the
-  // stripe's locals afterwards leaves the stream positioned as if another
-  // process had drawn these samples.
-  RunWorker(w, count);
-  std::fill(local_counts_[w].begin(), local_counts_[w].end(), 0);
-  if (weighted_) {
-    std::fill(local_fp_sums_[w].begin(), local_fp_sums_[w].end(), 0);
-    std::fill(local_fp_sum_squares_[w].begin(),
-              local_fp_sum_squares_[w].end(), 0);
-  }
-}
-
-void SampleEngine::DrawStripe(size_t w, uint64_t count) {
-  SAPHYRA_CHECK(w < workers_.size());
-  RunWorker(w, count);
-}
-
-void SampleEngine::HarvestDelta(RawSampleDelta* out) {
-  const size_t k = workers_[0]->num_hypotheses();
-  out->counts.assign(k, 0);
-  out->fp_sums.clear();
-  out->fp_sum_squares.clear();
-  if (weighted_) {
-    out->fp_sums.assign(k, 0);
-    out->fp_sum_squares.assign(k, 0);
-  }
-  for (size_t w = 0; w < workers_.size(); ++w) {
-    for (size_t i = 0; i < k; ++i) {
-      out->counts[i] += local_counts_[w][i];
-      local_counts_[w][i] = 0;
-    }
-    if (weighted_) {
-      for (size_t i = 0; i < k; ++i) {
-        out->fp_sums[i] += local_fp_sums_[w][i];
-        out->fp_sum_squares[i] += local_fp_sum_squares_[w][i];
-        local_fp_sums_[w][i] = 0;
-        local_fp_sum_squares_[w][i] = 0;
-      }
-    }
-  }
 }
 
 void SampleEngine::RunWorker(size_t w, uint64_t quota) {

@@ -23,45 +23,9 @@
 
 #include "core/saphyra.h"
 #include "util/rng.h"
-#include "util/status.h"
 #include "util/thread_pool.h"
 
 namespace saphyra {
-
-/// \brief #samples with global index in [0, n) assigned to stripe `w` of
-/// `num_stripes` under the engine's `j mod W` striping. Exported so the
-/// sharded serving tier (src/service/shard*) can compute per-stripe wave
-/// quotas with exactly the arithmetic the engine uses internally.
-uint64_t StripeSamplesBelow(uint64_t n, size_t w, size_t num_stripes);
-
-/// \brief Raw integer accumulator delta of one sample wave: per-hypothesis
-/// hit counts, plus the 32.32 fixed-point loss moments for weighted
-/// problems (`fp_sums`/`fp_sum_squares` stay empty otherwise). Integer
-/// accumulation is associative, so deltas merge by plain element-wise sum
-/// in any order — the property that makes a distributed wave bitwise
-/// identical to a local one.
-struct RawSampleDelta {
-  std::vector<uint64_t> counts;
-  std::vector<uint64_t> fp_sums;
-  std::vector<uint64_t> fp_sum_squares;
-};
-
-/// \brief Pluggable wave execution: when installed on a SampleEngine, each
-/// DrawAccumulate wave is delegated here instead of being drawn locally.
-/// The executor must return the exact integer delta the engine would have
-/// produced for samples [current, target) over `num_stripes` logical RNG
-/// stripes — the sharded serving tier implements this by farming stripes
-/// out to worker processes and summing their deltas.
-class WaveExecutor {
- public:
-  virtual ~WaveExecutor() = default;
-  /// On success fills *out (counts sized to the hypothesis count; the
-  /// fixed-point arrays too for weighted problems). On failure the wave
-  /// must have contributed nothing observable; the engine reports the
-  /// status via last_wave_status() and keeps its pre-wave accumulation.
-  virtual Status ExecuteWave(uint64_t current, uint64_t target,
-                             size_t num_stripes, RawSampleDelta* out) = 0;
-};
 
 /// \brief Merged sampling statistics after `n` i.i.d. draws.
 ///
@@ -125,18 +89,6 @@ class SampleEngine {
   /// \brief Logical workers actually created.
   size_t num_workers() const { return workers_.size(); }
 
-  /// \brief Delegate every DrawAccumulate wave to `executor` (borrowed;
-  /// nullptr restores local drawing). Only the DrawAccumulate path — the
-  /// one the progressive sampler uses — supports delegation.
-  void set_wave_executor(WaveExecutor* executor) { executor_ = executor; }
-
-  /// \brief Status of the most recent DrawAccumulate wave. Non-OK only
-  /// when a wave executor failed (local draws cannot fail); the failed
-  /// wave contributed nothing and DrawAccumulate returned `current`
-  /// unchanged, so the caller can finalize a degraded result from the
-  /// completed waves.
-  const Status& last_wave_status() const { return last_wave_status_; }
-
   /// \brief Draw `target - current` samples into *counts; returns `target`.
   /// Hit counts only — for weighted problems and moment statistics use the
   /// SampleStats overload. Do not mix the two overloads on one engine.
@@ -158,26 +110,6 @@ class SampleEngine {
   /// Draw(stats) into *stats, as of `n` total samples drawn.
   void SnapshotStats(uint64_t n, SampleStats* stats) const;
 
-  // --- worker-side stripe primitives (sharded serving tier) -------------
-  // A shard worker drives the engine stripe by stripe instead of wave by
-  // wave: it advances a stripe's RNG stream past samples another process
-  // already drew, draws its assigned quota, and harvests the raw integer
-  // delta to ship back. These touch only the per-stripe locals, never the
-  // running aggregation, so a worker-side engine is a pure delta producer.
-
-  /// \brief Draw `count` samples on stripe `w` and *discard* them: the RNG
-  /// stream consumption is identical to DrawStripe (accumulation never
-  /// touches the RNG), which is what makes replay-based recovery after a
-  /// worker restart transparent.
-  void AdvanceStripe(size_t w, uint64_t count);
-
-  /// \brief Draw `count` samples on stripe `w` into the stripe's local
-  /// accumulators (harvested later by HarvestDelta).
-  void DrawStripe(size_t w, uint64_t count);
-
-  /// \brief Sum all stripes' local accumulators into *out and zero them.
-  void HarvestDelta(RawSampleDelta* out);
-
  private:
   void RunWorker(size_t w, uint64_t quota);
   void DrawStriped(uint64_t current, uint64_t target);
@@ -198,8 +130,6 @@ class SampleEngine {
   std::vector<uint64_t> agg_fp_sum_squares_;
   std::vector<std::vector<WeightedHit>> weighted_scratch_;
   ThreadPool* pool_;
-  WaveExecutor* executor_ = nullptr;
-  Status last_wave_status_;
 };
 
 }  // namespace saphyra

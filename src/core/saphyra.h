@@ -14,7 +14,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <memory>
 #include <vector>
@@ -24,8 +23,6 @@
 #include "util/rng.h"
 
 namespace saphyra {
-
-class WaveExecutor;  // core/sample_engine.h
 
 /// \brief One weighted loss observation: hypothesis `index` incurred loss
 /// `value` ∈ [0, 1] on the current sample. Used by problems whose losses
@@ -147,14 +144,6 @@ struct SaphyraOptions {
   /// see util/cancel.h and DESIGN.md, "Degradation contract". Borrowed;
   /// must outlive the run.
   const CancelToken* cancel = nullptr;
-  /// Optional delegated wave execution (core/sample_engine.h): called once
-  /// per progressive run the algorithm builds — ordinal 0 is the pilot,
-  /// ordinal 1 the main estimation loop (single-loop callers like
-  /// RunDirectEstimation and the whole-graph baselines only use 0) — and
-  /// must return a borrowed executor for that run, or nullptr for local
-  /// drawing. The sharded serving tier hooks its ShardedEngine in here.
-  /// Empty = always local. Never affects result bytes while waves succeed.
-  std::function<WaveExecutor*(uint32_t ordinal)> wave_executor;
 };
 
 /// \brief Diagnostics and output of Algorithm 1.
@@ -182,8 +171,7 @@ struct SaphyraResult {
   /// only and the (ε, δ) guarantee does NOT hold. Deterministic for a
   /// fixed (seed, samples_used) — see DESIGN.md, "Degradation contract".
   bool degraded = false;
-  /// kDeadlineExceeded or kCancelled (token), or kUnavailable (delegated
-  /// wave execution lost its workers) when degraded; kOk otherwise.
+  /// kDeadlineExceeded or kCancelled (token) when degraded; kOk otherwise.
   StatusCode degrade_reason = StatusCode::kOk;
   /// Only meaningful when degraded: the worst-case deviation bound the
   /// truncated run actually achieves, in combined-risk units (ε-mode: the

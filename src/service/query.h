@@ -173,10 +173,8 @@ struct QueryResult {
   /// Deadline truncation: estimates cover completed waves only, the
   /// (ε, δ) guarantee does NOT hold, and the result is never memoized.
   bool degraded = false;
-  /// Why the run degraded (kOk unless `degraded`): kDeadlineExceeded,
-  /// kCancelled, or kUnavailable when the sharded tier lost its workers
-  /// past the retry budget. Serialized as "degrade_reason":
-  /// "deadline" | "cancelled" | "shard_lost".
+  /// Why the run degraded (kOk unless `degraded`): kDeadlineExceeded or
+  /// kCancelled. Serialized as "degrade_reason": "deadline" | "cancelled".
   StatusCode degrade_reason = StatusCode::kOk;
   /// Only when degraded: the deviation bound actually achieved, in the
   /// estimator's own units; infinity when truncation preceded any
@@ -199,14 +197,6 @@ struct QueryResult {
 /// \brief Parse one NDJSON request line. Unknown fields are rejected (a
 /// typo'd "epsilon" silently running at the default would be worse).
 Status ParseQueryRequest(const std::string& line, QueryRequest* out);
-
-/// \brief Render `req` as one NDJSON request line (no trailing newline)
-/// that ParseQueryRequest round-trips exactly — ε/δ print with shortest-
-/// round-trip precision. This is how the sharded tier ships a
-/// *canonicalized* query to worker processes: the worker re-parses and
-/// re-canonicalizes, and bitwise-identical statistical parameters are what
-/// make its stripe replay bit-for-bit.
-std::string SerializeQueryRequest(const QueryRequest& req);
 
 /// \brief Render `res` as one NDJSON line (no trailing newline).
 /// Estimates print with shortest-round-trip precision, so piping results

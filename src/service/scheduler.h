@@ -51,8 +51,6 @@
 
 namespace saphyra {
 
-class WorkerSupervisor;
-
 struct SchedulerOptions {
   /// Estimator executions running concurrently (1 = serial execution);
   /// also the RunBatch driver count. Enforced inside Run(), so direct
@@ -80,12 +78,6 @@ struct SchedulerOptions {
   /// running ones finalize degraded at their next wave; TightenDeadline()
   /// implements a drain window. Borrowed; must outlive the scheduler.
   const CancelToken* server_cancel = nullptr;
-  /// Non-null: delegate every sample wave to this sharded worker tier
-  /// (service/shard.h) instead of drawing locally. Results are bitwise
-  /// identical either way (determinism contract), so the memo and dedup
-  /// machinery are oblivious to the switch. Borrowed; must outlive the
-  /// scheduler.
-  WorkerSupervisor* supervisor = nullptr;
   /// Accept {"op":"update"} requests (saphyra_serve --allow-updates).
   /// Off by default: a server not expecting mutations answers them with
   /// FAILED_PRECONDITION instead of silently changing its graphs.
@@ -155,11 +147,9 @@ class BatchScheduler {
                         std::shared_ptr<QuerySession>* out);
 
   /// The {"op":"update"} path: bypasses the memo, the dedup table and
-  /// the slot gate (mutations are cheap, serialized, and must never be
-  /// answered from a cache), applies the mutation to the local session
-  /// and — in sharded mode — broadcasts it to the worker tier under one
-  /// update mutex, so no two updates can interleave differently between
-  /// the coordinator and its workers.
+  /// the slot gate (mutations are cheap, serialized per session, and must
+  /// never be answered from a cache) and applies the mutation to the
+  /// session.
   QueryResult RunUpdate(QuerySession* session, const QueryRequest& request,
                         const QueryRequest& canonical);
 
@@ -176,11 +166,6 @@ class BatchScheduler {
 
   mutable std::mutex mu_;
   SchedulerStats stats_;
-  /// Serializes update application across sessions AND the shard
-  /// broadcast: local apply + worker broadcast are one critical section,
-  /// so every worker observes updates in the exact order the epochs
-  /// chained — a reorder would diverge the fingerprint chain.
-  std::mutex update_mu_;
   /// Execution-slot gate: estimator runs in flight / owners queued for a
   /// slot. Slot waiters poll their cancel token every ~10 ms, so a queued
   /// query honors its deadline (and the shutdown token) without a

@@ -8,7 +8,6 @@
 #include "closeness/closeness.h"
 #include "core/saphyra.h"
 #include "kpath/kpath.h"
-#include "service/shard.h"
 #include "util/failpoint.h"
 #include "util/hash.h"
 #include "util/timer.h"
@@ -174,24 +173,13 @@ QueryResult QuerySession::Run(const QueryRequest& request) {
 
 QueryResult QuerySession::RunCanonical(const GraphSnapshot& snap,
                                        const QueryRequest& req,
-                                       const CancelToken* cancel,
-                                       ShardedQuery* shard) {
+                                       const CancelToken* cancel) {
   QueryResult res;
   res.id = req.id;
   res.estimator = req.estimator;
   const Graph& graph = snap.graph();
   const uint32_t threads =
       req.num_threads != 0 ? req.num_threads : options_.default_threads;
-
-  // Non-null shard: delegate every sample wave to the worker tier. The
-  // lambda outlives each estimator call below but not this frame, and the
-  // executors it hands out live on `shard`, so borrowing is safe.
-  std::function<WaveExecutor*(uint32_t)> wave_executor;
-  if (shard != nullptr) {
-    wave_executor = [shard](uint32_t ordinal) {
-      return shard->ExecutorFor(ordinal);
-    };
-  }
 
   // Degraded estimator outcomes surface as results, not errors: the
   // completed-wave estimates are still deterministic, so the client gets
@@ -217,7 +205,6 @@ QueryResult QuerySession::RunCanonical(const GraphSnapshot& snap,
       opts.traversal = req.traversal;
       opts.num_threads = threads;
       opts.cancel = cancel;
-      opts.wave_executor = wave_executor;
       if (req.estimator == EstimatorKind::kBcFull) {
         SaphyraBcResult r = RunSaphyraBcFull(snap.isp(), opts);
         res.samples_used = r.samples_used;
@@ -245,7 +232,6 @@ QueryResult QuerySession::RunCanonical(const GraphSnapshot& snap,
       opts.cancel = cancel;
       std::vector<NodeId> targets =
           req.targets.empty() ? AllNodes(graph.num_nodes()) : req.targets;
-      opts.wave_executor = wave_executor;
       KPathProblem problem(graph, targets, req.k);
       SaphyraResult r = RunSaphyra(&problem, opts);
       res.samples_used = r.samples_used;
@@ -264,7 +250,6 @@ QueryResult QuerySession::RunCanonical(const GraphSnapshot& snap,
       opts.cancel = cancel;
       std::vector<NodeId> targets =
           req.targets.empty() ? AllNodes(graph.num_nodes()) : req.targets;
-      opts.wave_executor = wave_executor;
       HarmonicClosenessProblem problem(graph, targets);
       problem.set_traversal(req.traversal);
       SaphyraResult r = RunSaphyra(&problem, opts);
@@ -288,7 +273,6 @@ QueryResult QuerySession::RunCanonical(const GraphSnapshot& snap,
       opts.top_k = req.top_k;
       opts.num_threads = threads;
       opts.cancel = cancel;
-      opts.wave_executor = wave_executor;
       AbraResult r = RunAbra(graph, opts);
       res.samples_used = r.samples_used;
       mark_degraded(r.degraded, r.degrade_reason, r.epsilon_achieved);
@@ -305,7 +289,6 @@ QueryResult QuerySession::RunCanonical(const GraphSnapshot& snap,
       opts.traversal = req.traversal;
       opts.num_threads = threads;
       opts.cancel = cancel;
-      opts.wave_executor = wave_executor;
       KadabraResult r = RunKadabra(graph, opts);
       res.samples_used = r.samples_used;
       mark_degraded(r.degraded, r.degrade_reason, r.epsilon_achieved);

@@ -21,9 +21,9 @@
 /// never changes bits of an in-flight query, and a query admitted after
 /// the update sees the new epoch only. Each epoch's fingerprint chains
 /// the mutation onto the previous epoch's digest
-/// (ChainMutationFingerprint), so memo keys, the sharded tier's state
-/// cache, and the multi-graph pool all invalidate exactly the entries
-/// the mutation staled — see docs/serving.md, "Dynamic graphs".
+/// (ChainMutationFingerprint), so memo keys and the multi-graph pool
+/// invalidate exactly the entries the mutation staled — see
+/// docs/serving.md, "Dynamic graphs".
 ///
 /// Ownership/threading: Run() is safe to call from multiple threads
 /// concurrently — estimator runs only read their pinned snapshot and keep
@@ -51,8 +51,6 @@
 #include "util/status.h"
 
 namespace saphyra {
-
-class ShardedQuery;
 
 /// \brief Session-wide settings (per-query knobs live on QueryRequest).
 struct SessionOptions {
@@ -88,9 +86,8 @@ class GraphSnapshot {
   /// \brief Epoch 0: the content digest of the loaded graph (from the
   /// `.sgr` header when recorded, computed otherwise). Epoch e+1: the
   /// previous epoch's fingerprint chained with the mutation
-  /// (ChainMutationFingerprint). Keys the scheduler's memo LRU and the
-  /// sharded tier's worker state, so results computed against one epoch
-  /// can never serve another.
+  /// (ChainMutationFingerprint). Keys the scheduler's memo LRU, so
+  /// results computed against one epoch can never serve another.
   uint64_t fingerprint() const { return fingerprint_; }
   /// \brief The warm ISP index of this epoch, building it on first use
   /// (thread-safe; epochs > 0 adopt the repaired decomposition and skip
@@ -130,8 +127,7 @@ struct UpdateOutcome {
 
 /// \brief Fingerprint of epoch `epoch` obtained by applying (kind, u, v)
 /// to the epoch with fingerprint `prev`: FNV-1a over (prev, epoch, kind,
-/// min(u,v), max(u,v)). Pure and process-independent, so the supervisor
-/// can predict the post-update fingerprint its workers must reach.
+/// min(u,v), max(u,v)). Pure and process-independent.
 uint64_t ChainMutationFingerprint(uint64_t prev, uint64_t epoch,
                                   EdgeMutationKind kind, NodeId u, NodeId v);
 
@@ -207,14 +203,9 @@ class QuerySession {
   /// of paying a second copy + sort/dedup pass per query — and owns the
   /// cancel token (deadline measured from admission, chained to the
   /// server-wide shutdown token). `cancel` may be null; borrowed for the
-  /// duration of the call. `shard` non-null routes every sample wave to
-  /// the sharded worker tier (service/shard.h) instead of drawing
-  /// locally; results are bitwise identical either way, and a shard that
-  /// stays lost past the retry budget degrades the result
-  /// (degrade_reason = kUnavailable) rather than erroring.
+  /// duration of the call.
   QueryResult RunCanonical(const GraphSnapshot& snap, const QueryRequest& req,
-                           const CancelToken* cancel,
-                           ShardedQuery* shard = nullptr);
+                           const CancelToken* cancel);
 
   SessionOptions options_;
   bool loaded_from_cache_ = false;

@@ -25,8 +25,6 @@ const char* CodeName(StatusCode code) {
       return "ResourceExhausted";
     case StatusCode::kCancelled:
       return "Cancelled";
-    case StatusCode::kUnavailable:
-      return "Unavailable";
   }
   return "Unknown";
 }
@@ -54,8 +52,6 @@ const char* StatusCodeWireName(StatusCode code) {
       return "RESOURCE_EXHAUSTED";
     case StatusCode::kCancelled:
       return "CANCELLED";
-    case StatusCode::kUnavailable:
-      return "UNAVAILABLE";
   }
   return "UNKNOWN";
 }

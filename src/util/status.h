@@ -22,10 +22,6 @@ enum class StatusCode {
   kResourceExhausted,
   /// A hard stop was requested (shutdown, explicit cancel).
   kCancelled,
-  /// A dependency (worker shard, remote peer) is unreachable right now;
-  /// retrying later may succeed. The sharded serving tier maps an
-  /// exhausted per-wave retry budget to this code.
-  kUnavailable,
 };
 
 /// \brief Stable SCREAMING_SNAKE wire name of a code (gRPC-style), e.g.
@@ -70,9 +66,6 @@ class Status {
   }
   static Status Cancelled(std::string msg) {
     return Status(StatusCode::kCancelled, std::move(msg));
-  }
-  static Status Unavailable(std::string msg) {
-    return Status(StatusCode::kUnavailable, std::move(msg));
   }
 
   bool ok() const { return code_ == StatusCode::kOk; }

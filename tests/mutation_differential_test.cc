@@ -3,28 +3,23 @@
 // repair + epoch swap) must answer every query bitwise identically to a
 // COLD session opened on a from-scratch re-conversion of the same edge
 // set. Pinned over a generator sweep (ER, BA, WS, road grid, SBM), random
-// insert/delete streams, repair fallback thread counts {1, 8}, scheduler
-// admission concurrency {1, 8}, and both the local sampling path and the
-// sharded worker tier (whose workers follow the coordinator through
-// BroadcastUpdate + mutation-log replay).
+// insert/delete streams, repair fallback thread counts {1, 8} and
+// scheduler admission concurrency {1, 8}.
 //
 // The oracle is deliberately expensive: after every mutation batch it
 // rebuilds the graph from the reference edge set, recomputes the full
 // decomposition, writes a fresh `.sgr`, and serves the workload on a cold
 // serial session. Whatever shortcut the dynamic path takes — overlay
 // materialization, incremental repair, adopted indices, epoch-chained
-// memo keys, worker replay — must be invisible in the result bytes.
+// memo keys — must be invisible in the result bytes.
 
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cstdio>
 #include <cstring>
-#include <map>
 #include <memory>
 #include <set>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -35,14 +30,9 @@
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "graph/io.h"
-#include "net/frame.h"
-#include "net/socket.h"
 #include "service/query.h"
 #include "service/scheduler.h"
 #include "service/session.h"
-#include "service/session_pool.h"
-#include "service/shard.h"
-#include "service/shard_worker.h"
 #include "util/logging.h"
 #include "util/rng.h"
 
@@ -97,76 +87,6 @@ struct GraphFiles {
     std::remove(text_path.c_str());
     std::remove(sgr_path.c_str());
   }
-};
-
-/// In-process worker tier over socketpairs (the shard_test idiom): the
-/// real RunWorkerLoop per incarnation, so update frames and mutation-log
-/// replay exercise the production code path.
-class ThreadLauncher : public WorkerLauncher {
- public:
-  explicit ThreadLauncher(const std::string& graph_path)
-      : graph_path_(graph_path) {}
-  ~ThreadLauncher() override {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (auto& [index, inc] : incarnations_) StopLocked(inc.get());
-  }
-
-  Status Launch(uint32_t index, net::UniqueFd* conn) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = incarnations_.find(index);
-    if (it != incarnations_.end()) {
-      StopLocked(it->second.get());
-      incarnations_.erase(it);
-    }
-    net::UniqueFd coord_side;
-    auto inc = std::make_unique<Incarnation>();
-    // Each incarnation gets a fresh pool, like a relaunched worker
-    // process: it loads epoch 0 from disk and owes every mutation it has
-    // missed to the supervisor's replay.
-    inc->pool = std::make_unique<SessionPool>(SessionPoolOptions());
-    SAPHYRA_CHECK(inc->pool->Register("g", graph_path_).ok());
-    Status st = net::SocketPair(&coord_side, &inc->fd);
-    if (!st.ok()) return st;
-    Incarnation* raw = inc.get();
-    inc->thread = std::thread([raw, index] {
-      WorkerLoopOptions opts;
-      opts.index = index;
-      (void)RunWorkerLoop(raw->fd.get(), raw->pool.get(), opts);
-      ::shutdown(raw->fd.get(), SHUT_RDWR);
-    });
-    std::string hello;
-    st = net::RecvFrame(coord_side.get(), &hello, Deadline::AfterMillis(5000));
-    if (!st.ok()) {
-      StopLocked(raw);
-      return st;
-    }
-    incarnations_[index] = std::move(inc);
-    *conn = std::move(coord_side);
-    return Status::OK();
-  }
-
-  void KillWorker(uint32_t index) {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = incarnations_.find(index);
-    if (it != incarnations_.end()) {
-      ::shutdown(it->second->fd.get(), SHUT_RDWR);
-    }
-  }
-
- private:
-  struct Incarnation {
-    std::unique_ptr<SessionPool> pool;
-    net::UniqueFd fd;
-    std::thread thread;
-  };
-  void StopLocked(Incarnation* inc) {
-    ::shutdown(inc->fd.get(), SHUT_RDWR);
-    if (inc->thread.joinable()) inc->thread.join();
-  }
-
-  std::string graph_path_;
-  std::mutex mu_;
-  std::map<uint32_t, std::unique_ptr<Incarnation>> incarnations_;
 };
 
 /// Small but decomposition-sensitive workload: bc leans on the repaired
@@ -288,21 +208,18 @@ std::vector<GeneratorCase> GeneratorSweep() {
 }
 
 /// One mutated serving stack under test: a session fed updates through a
-/// scheduler, optionally via the sharded tier.
+/// scheduler.
 struct Variant {
   std::string label;
   std::unique_ptr<QuerySession> session;
-  std::unique_ptr<ThreadLauncher> launcher;    // sharded only
-  std::unique_ptr<WorkerSupervisor> supervisor;  // sharded only
   std::unique_ptr<BatchScheduler> scheduler;
 
   static std::unique_ptr<Variant> Make(const std::string& sgr_path,
                                        uint32_t repair_threads,
-                                       uint32_t concurrency, bool sharded) {
+                                       uint32_t concurrency) {
     auto v = std::make_unique<Variant>();
     v->label = "repair_threads=" + std::to_string(repair_threads) +
-               " concurrency=" + std::to_string(concurrency) +
-               (sharded ? " sharded" : " local");
+               " concurrency=" + std::to_string(concurrency);
     SessionOptions sopts;
     sopts.repair.fallback_threads = repair_threads;
     // Force the fallback pass often enough that the thread sweep matters.
@@ -312,18 +229,6 @@ struct Variant {
     schopts.max_concurrent = concurrency;
     schopts.memo_capacity = 16;  // memo ON: stale hits would be caught
     schopts.allow_updates = true;
-    if (sharded) {
-      v->launcher = std::make_unique<ThreadLauncher>(sgr_path);
-      ShardOptions shopts;
-      shopts.num_workers = 2;
-      shopts.heartbeat_ms = 0;
-      shopts.backoff_initial_ms = 1;
-      shopts.backoff_max_ms = 20;
-      v->supervisor =
-          std::make_unique<WorkerSupervisor>(v->launcher.get(), shopts);
-      SAPHYRA_CHECK(v->supervisor->Start().ok());
-      schopts.supervisor = v->supervisor.get();
-    }
     v->scheduler =
         std::make_unique<BatchScheduler>(v->session.get(), schopts);
     return v;
@@ -345,12 +250,12 @@ TEST(MutationDifferentialTest, OverlayServingMatchesFromScratchReconvert) {
     const std::vector<QueryRequest> workload = Workload(n);
 
     // The sweep under test: bicomp fallback threads x admission
-    // concurrency, plus the sharded tier.
+    // concurrency.
     std::vector<std::unique_ptr<Variant>> variants;
-    variants.push_back(Variant::Make(base.sgr_path, 1, 1, false));
-    variants.push_back(Variant::Make(base.sgr_path, 8, 8, false));
-    variants.push_back(Variant::Make(base.sgr_path, 1, 8, false));
-    variants.push_back(Variant::Make(base.sgr_path, 8, 1, true));
+    variants.push_back(Variant::Make(base.sgr_path, 1, 1));
+    variants.push_back(Variant::Make(base.sgr_path, 8, 8));
+    variants.push_back(Variant::Make(base.sgr_path, 1, 8));
+    variants.push_back(Variant::Make(base.sgr_path, 8, 1));
 
     for (size_t start = 0; start < stream.size(); start += kBatch) {
       // Apply the batch to every variant (through the full request path)
@@ -371,8 +276,7 @@ TEST(MutationDifferentialTest, OverlayServingMatchesFromScratchReconvert) {
               << variant->label << " mutation " << i << ": "
               << res.status.ToString();
           ASSERT_EQ(res.epoch, i + 1) << variant->label;
-          // Every variant must land on the same chained fingerprint —
-          // that equality is what lets the coordinator drive its workers.
+          // Every variant must land on the same chained fingerprint.
           if (fingerprint == 0) {
             fingerprint = res.fingerprint;
           } else {
@@ -383,7 +287,7 @@ TEST(MutationDifferentialTest, OverlayServingMatchesFromScratchReconvert) {
       }
 
       // The oracle: re-convert the reference edge set from scratch and
-      // serve the workload cold, serial, unsharded.
+      // serve the workload cold and serial.
       GraphFiles oracle_files(BuildFromEdges(n, edges),
                               std::string(gcase.name) + "_oracle");
       std::unique_ptr<QuerySession> oracle_session;
@@ -407,9 +311,6 @@ TEST(MutationDifferentialTest, OverlayServingMatchesFromScratchReconvert) {
                                  workload[q].id);
         }
       }
-    }
-    for (auto& variant : variants) {
-      if (variant->supervisor != nullptr) variant->supervisor->Shutdown();
     }
   }
 }
@@ -445,52 +346,6 @@ TEST(MutationDifferentialTest, CompactionIsInvisibleInResultsAndFingerprints) {
     ExpectBitwiseEqual(compacting->Run(req), overlaying->Run(req),
                        "compaction sweep " + req.id);
   }
-}
-
-TEST(MutationDifferentialTest, WorkerRestartReplaysMutationLog) {
-  Graph g = WattsStrogatz(40, 4, 0.15, 111);
-  const NodeId n = g.num_nodes();
-  GraphFiles files(g, "replay");
-  const std::vector<EdgeMutation> stream =
-      MakeStream(n, EdgesOf(g), 6, 8080);
-  const std::vector<QueryRequest> workload = Workload(n);
-
-  auto variant = Variant::Make(files.sgr_path, 1, 1, true);
-  EdgeSet edges = EdgesOf(g);
-  for (size_t i = 0; i < stream.size(); ++i) {
-    const EdgeMutation& mut = stream[i];
-    if (mut.kind == EdgeMutationKind::kInsert) {
-      edges.insert({mut.u, mut.v});
-    } else {
-      edges.erase({mut.u, mut.v});
-    }
-    ASSERT_TRUE(
-        variant->scheduler->Run(UpdateRequest(mut.kind, mut.u, mut.v))
-            .status.ok());
-  }
-
-  // Kill both workers after the whole stream: their replacements load
-  // epoch 0 from disk and must catch up purely from the supervisor's
-  // mutation log before serving a single wave.
-  variant->launcher->KillWorker(0);
-  variant->launcher->KillWorker(1);
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-
-  GraphFiles oracle_files(BuildFromEdges(n, edges), "replay_oracle");
-  std::unique_ptr<QuerySession> oracle_session;
-  ASSERT_TRUE(QuerySession::Open(oracle_files.sgr_path, SessionOptions(),
-                                 &oracle_session)
-                  .ok());
-  SchedulerOptions oracle_opts;
-  oracle_opts.memo_capacity = 0;
-  BatchScheduler oracle(oracle_session.get(), oracle_opts);
-  const std::vector<QueryResult> expected = oracle.RunBatch(workload);
-  const std::vector<QueryResult> got = variant->scheduler->RunBatch(workload);
-  for (size_t q = 0; q < got.size(); ++q) {
-    ExpectBitwiseEqual(expected[q], got[q],
-                       "post-restart " + workload[q].id);
-  }
-  variant->supervisor->Shutdown();
 }
 
 }  // namespace

@@ -973,12 +973,6 @@ TEST(SerializeQueryResultTest, Shapes) {
             "\"epsilon_achieved\":0.125,"
             "\"nodes\":[0],\"estimates\":[0.25]}");
 
-  // A lost worker tier degrades with its own reason on the wire.
-  deg.degrade_reason = StatusCode::kUnavailable;
-  EXPECT_NE(SerializeQueryResult(deg).find("\"degrade_reason\":\"shard_lost\""),
-            std::string::npos);
-  deg.degrade_reason = StatusCode::kDeadlineExceeded;
-
   // Truncation before any variance estimate: the achieved bound is
   // infinite, which JSON spells null.
   deg.epsilon_achieved = std::numeric_limits<double>::infinity();

@@ -34,6 +34,8 @@
 #include "graph/io.h"
 #include "util/timer.h"
 
+#include "cli_flags.h"
+
 using namespace saphyra;
 
 namespace {
@@ -77,14 +79,9 @@ bool Parse(int argc, char** argv, Args* args) {
     } else if (key == "--output" && (val = next())) {
       args->output = val;
     } else if (key == "--bicomp-threads" && (val = next())) {
-      char* end = nullptr;
-      unsigned long parsed = std::strtoul(val, &end, 10);
-      if (end == val || *end != '\0') {
-        std::fprintf(stderr, "--bicomp-threads expects a number, got %s\n",
-                     val);
+      if (!ParseUnsignedFlag(key.c_str(), val, &args->bicomp_threads)) {
         return false;
       }
-      args->bicomp_threads = static_cast<uint32_t>(parsed);
     } else {
       std::fprintf(stderr, "unknown or incomplete option: %s\n", key.c_str());
       return false;

@@ -55,6 +55,8 @@
 #include "util/rng.h"
 #include "util/timer.h"
 
+#include "cli_flags.h"
+
 using namespace saphyra;
 
 namespace {
@@ -95,6 +97,7 @@ bool Parse(int argc, char** argv, Args* args) {
       return argv[++i];
     };
     const char* val = nullptr;
+    bool ok = true;  // false once a numeric value fails to parse
     if (key == "--lcc") {
       args->lcc = true;
     } else if (key == "--no-cache") {
@@ -106,17 +109,17 @@ bool Parse(int argc, char** argv, Args* args) {
     } else if (key == "--targets" && (val = next())) {
       args->targets_path = val;
     } else if (key == "--random-targets" && (val = next())) {
-      args->random_targets = std::strtoull(val, nullptr, 10);
+      ok = ParseUnsignedFlag(key.c_str(), val, &args->random_targets);
     } else if (key == "--algorithm" && (val = next())) {
       args->algorithm = val;
     } else if (key == "--epsilon" && (val = next())) {
-      args->epsilon = std::atof(val);
+      ok = ParseDoubleFlag(key.c_str(), val, &args->epsilon);
     } else if (key == "--delta" && (val = next())) {
-      args->delta = std::atof(val);
+      ok = ParseDoubleFlag(key.c_str(), val, &args->delta);
     } else if (key == "--topk" && (val = next())) {
-      args->topk = std::strtoull(val, nullptr, 10);
+      ok = ParseUnsignedFlag(key.c_str(), val, &args->topk);
     } else if (key == "--seed" && (val = next())) {
-      args->seed = std::strtoull(val, nullptr, 10);
+      ok = ParseUnsignedFlag(key.c_str(), val, &args->seed);
     } else if (key == "--strategy" && (val = next())) {
       if (!ParseTraversalPolicy(val, &args->traversal)) {
         std::fprintf(stderr, "unknown --strategy %s\n", val);
@@ -128,6 +131,7 @@ bool Parse(int argc, char** argv, Args* args) {
       std::fprintf(stderr, "unknown or incomplete option: %s\n", key.c_str());
       return false;
     }
+    if (!ok) return false;
   }
   if (args->graph_path.empty()) {
     std::fprintf(stderr, "--graph is required\n");
